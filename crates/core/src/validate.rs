@@ -11,14 +11,20 @@
 //!
 //! The refinement pipeline of [`refine`]:
 //!
-//! 1. **Component repair** — candidate FDs whose own agreement lift is weak
-//!    are grouped into connected attribute clusters, and each small cluster
-//!    is re-decomposed by a greedy best-sink search: repeatedly pick the
-//!    member that the rest of the cluster determines best (minimizing its
-//!    determinant), until nothing validates. This recovers
-//!    `{X₁..X_m} → Y` from a reversed cascade like `Y → X₁`,
-//!    `{Y, X₁} → X₂`. Near-perfect candidates (true hubs such as a key
-//!    determining many attributes) bypass the rewrite entirely.
+//! 1. **Component repair** — candidate FDs that fail the per-FD test of
+//!    stage 2 (lift below `min_lift`, or fewer than `MIN_SUPPORT_PAIRS`
+//!    supporting pairs) are grouped into connected attribute clusters, and
+//!    each small cluster is re-decomposed by a greedy best-sink search:
+//!    repeatedly pick the member that the rest of the cluster determines
+//!    best (minimizing its determinant), until nothing validates. This
+//!    recovers `{X₁..X_m} → Y` from a reversed cascade like `Y → X₁`,
+//!    `{Y, X₁} → X₂` whose members fail that test. Every candidate that
+//!    passes goes on to stage 2 unchanged, a reversed one too. A stricter
+//!    bar would not spare true FDs under noise: when each rhs cell is
+//!    replaced by a random state with probability `ε`, a true FD's lift
+//!    falls to about `(1−ε)²` (0.90 at `ε = 0.05`), and the best-sink
+//!    search then picks determinants among the noisy attribute's own
+//!    children, which follow its noisy value.
 //! 2. **Per-FD validation** — every FD is scored with the normalized
 //!    agreement lift `L = (ρ − β)/(1 − β)` (`ρ` the conditional pair
 //!    agreement, `β` the marginal), greedily minimized while the lift is
@@ -278,6 +284,14 @@ impl<'a> ScoreCtx<'a> {
 /// conditional estimate is mostly sampling noise (a near-key lhs).
 const MIN_SUPPORT_PAIRS: u64 = 8;
 
+impl FdScore {
+    /// The per-FD test: a lift of at least `min_lift` on at least
+    /// [`MIN_SUPPORT_PAIRS`] lhs-agreeing pairs.
+    fn passes(&self, min_lift: f64) -> bool {
+        self.lift >= min_lift && self.support_pairs >= MIN_SUPPORT_PAIRS
+    }
+}
+
 /// Lift a removal may cost before it stops counting as "preserving" the
 /// full determinant's explanatory power.
 const MINIMIZE_SLACK: f64 = 0.05;
@@ -285,10 +299,6 @@ const MINIMIZE_SLACK: f64 = 0.05;
 /// Margin by which the reverse orientation must beat the forward one before
 /// a validated single-attribute FD is flipped.
 const FLIP_MARGIN: f64 = 0.08;
-
-/// Candidates scoring at least this well are never rewritten by the
-/// component repair (true hubs and exact FDs).
-const HUB_GUARD: f64 = 0.92;
 
 /// Largest attribute cluster the component repair will re-decompose.
 const MAX_COMPONENT: usize = 8;
@@ -387,7 +397,7 @@ pub fn refine_with_options(
     for fd in repaired.iter() {
         let rhs = fd.rhs();
         let full = ctx.score(fd.lhs(), rhs);
-        if full.lift >= min_lift && full.support_pairs >= MIN_SUPPORT_PAIRS {
+        if full.passes(min_lift) {
             let (lhs, current) = minimize_lhs(&ctx, fd.lhs(), rhs, full, min_lift, ctx.threads);
             if lhs.len() == 1 {
                 out.insert(orient(&ctx, lhs[0], rhs, current, min_lift));
@@ -401,17 +411,11 @@ pub fn refine_with_options(
         let mut best: Option<(Fd, f64)> = None;
         for &x in fd.lhs() {
             let fwd = ctx.score(&[x], rhs);
-            if fwd.lift >= min_lift
-                && fwd.support_pairs >= MIN_SUPPORT_PAIRS
-                && best.as_ref().is_none_or(|&(_, l)| fwd.lift > l)
-            {
+            if fwd.passes(min_lift) && best.as_ref().is_none_or(|&(_, l)| fwd.lift > l) {
                 best = Some((Fd::new([x], rhs), fwd.lift));
             }
             let rev = ctx.score(&[rhs], x);
-            if rev.lift >= min_lift
-                && rev.support_pairs >= MIN_SUPPORT_PAIRS
-                && best.as_ref().is_none_or(|&(_, l)| rev.lift > l)
-            {
+            if rev.passes(min_lift) && best.as_ref().is_none_or(|&(_, l)| rev.lift > l) {
                 best = Some((Fd::new([rhs], x), rev.lift));
             }
         }
@@ -460,28 +464,30 @@ fn drop_inversion_artifacts(ds: &Dataset, fds: &FdSet) -> FdSet {
     FdSet::from_fds(survivors)
 }
 
-/// Re-decomposes weakly-explained attribute clusters (see module docs).
+/// Re-decomposes the attribute clusters of the candidates that fail the
+/// per-FD test ([`FdScore::passes`]); every candidate that passes is kept
+/// as it is. The module docs say why the bar is `min_lift` itself.
 fn component_repair(ctx: &ScoreCtx, fds: &FdSet, min_lift: f64) -> FdSet {
     let ds = ctx.ds;
     let k = ds.ncols();
     let all: Vec<&Fd> = fds.iter().collect();
-    let lifts = fdx_par::par_map_indexed(&all, ctx.threads, |_, fd| {
-        ctx.score(fd.lhs(), fd.rhs()).lift
+    let passes = fdx_par::par_map_indexed(&all, ctx.threads, |_, fd| {
+        ctx.score(fd.lhs(), fd.rhs()).passes(min_lift)
     });
-    let mut strong: Vec<Fd> = Vec::new();
-    let mut weak: Vec<Fd> = Vec::new();
-    for (fd, &lift) in all.iter().zip(&lifts) {
-        if lift >= HUB_GUARD {
-            strong.push((*fd).clone());
+    let mut passing: Vec<Fd> = Vec::new();
+    let mut failing: Vec<Fd> = Vec::new();
+    for (fd, &pass) in all.iter().zip(&passes) {
+        if pass {
+            passing.push((*fd).clone());
         } else {
-            weak.push((*fd).clone());
+            failing.push((*fd).clone());
         }
     }
-    if weak.is_empty() {
+    if failing.is_empty() {
         return fds.clone();
     }
 
-    // Union-find over attributes, joined by weak-FD participation.
+    // Union-find over attributes, joined by failing-FD participation.
     let mut parent: Vec<usize> = (0..k).collect();
     fn find(parent: &mut [usize], mut v: usize) -> usize {
         while parent[v] != v {
@@ -490,7 +496,7 @@ fn component_repair(ctx: &ScoreCtx, fds: &FdSet, min_lift: f64) -> FdSet {
         }
         v
     }
-    for fd in &weak {
+    for fd in &failing {
         let root = find(&mut parent, fd.rhs());
         for &x in fd.lhs() {
             let rx = find(&mut parent, x);
@@ -499,7 +505,7 @@ fn component_repair(ctx: &ScoreCtx, fds: &FdSet, min_lift: f64) -> FdSet {
     }
     let mut components: std::collections::BTreeMap<usize, Vec<AttrId>> = Default::default();
     let mut touched = vec![false; k];
-    for fd in &weak {
+    for fd in &failing {
         touched[fd.rhs()] = true;
         for &x in fd.lhs() {
             touched[x] = true;
@@ -512,12 +518,12 @@ fn component_repair(ctx: &ScoreCtx, fds: &FdSet, min_lift: f64) -> FdSet {
         }
     }
 
-    let mut out = FdSet::from_fds(strong);
+    let mut out = FdSet::from_fds(passing);
     for comp in components.values() {
         if comp.len() < 2 || comp.len() > MAX_COMPONENT {
             // Oversized or trivial: keep the originals; the per-FD pass
             // will judge them individually.
-            for fd in &weak {
+            for fd in &failing {
                 if comp.contains(&fd.rhs()) {
                     out.insert(fd.clone());
                 }
@@ -543,7 +549,7 @@ fn component_repair(ctx: &ScoreCtx, fds: &FdSet, min_lift: f64) -> FdSet {
                     let x_all: Vec<AttrId> =
                         unclaimed.iter().copied().filter(|&a| a != y).collect();
                     let full = ctx.score(&x_all, y);
-                    if full.lift < min_lift || full.support_pairs < MIN_SUPPORT_PAIRS {
+                    if !full.passes(min_lift) {
                         return None;
                     }
                     let (lhs, s) = minimize_lhs(ctx, &x_all, y, full, min_lift, 1);
@@ -580,10 +586,7 @@ fn component_repair(ctx: &ScoreCtx, fds: &FdSet, min_lift: f64) -> FdSet {
 /// flips to `rhs → x` only when the reverse lift clearly dominates.
 fn orient(ctx: &ScoreCtx, x: AttrId, rhs: AttrId, forward: FdScore, min_lift: f64) -> Fd {
     let rev = ctx.score(&[rhs], x);
-    if rev.lift >= min_lift
-        && rev.support_pairs >= MIN_SUPPORT_PAIRS
-        && rev.lift > forward.lift + FLIP_MARGIN
-    {
+    if rev.passes(min_lift) && rev.lift > forward.lift + FLIP_MARGIN {
         Fd::new([rhs], x)
     } else {
         Fd::new([x], rhs)
@@ -593,7 +596,7 @@ fn orient(ctx: &ScoreCtx, x: AttrId, rhs: AttrId, forward: FdScore, min_lift: f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdx_data::Dataset;
+    use fdx_data::{Column, Dataset, Schema, Value};
 
     fn fd_dataset() -> Dataset {
         // zip -> city exactly; city does not determine zip.
@@ -887,8 +890,9 @@ mod tests {
 
     #[test]
     fn component_repair_leaves_true_hubs_alone() {
-        // A key determines three attributes exactly; forward lifts are 1.0
-        // so the hub guard must keep the star as-is.
+        // A key determines three attributes exactly; forward lifts are 1.0,
+        // so every candidate passes the per-FD test and the component
+        // repair must keep the star as-is.
         let mut rows = Vec::new();
         for k in 0..12 {
             for _ in 0..4 {
@@ -913,5 +917,63 @@ mod tests {
         assert!(edges.contains(&(0, 2)));
         assert!(edges.contains(&(0, 3)));
         assert!(!edges.iter().any(|&(_, y)| y == 0), "{edges:?}");
+    }
+
+    #[test]
+    fn component_repair_keeps_noisy_true_fds() {
+        // The Cancer network's CPTs at ε = 0.05: c = f(p, s), x = d = g(c),
+        // and each of c, x, d is replaced by a uniform state with
+        // probability ε, so the true FDs lift about (1−ε)² ≈ 0.90. The
+        // spurious s → p (lift ≈ 0) joins all five attributes into one
+        // cluster, and the repair must rewrite only that candidate: given
+        // the true ones too, the best-sink search draws c's determinant
+        // from its children, which follow c's noisy value.
+        fn noisy(rng: &mut fdx_rand::SplitMix64, clean: u32, states: u32) -> u32 {
+            if rng.gen_bool(0.05) {
+                rng.gen_range(0..states)
+            } else {
+                clean
+            }
+        }
+        let f = [1, 1, 1, 1, 0, 0, 1, 1, 0];
+        let g = [1, 0, 1];
+        let names = ["p", "s", "c", "x", "d"];
+        let states = [3, 3, 3, 2, 2];
+        let mut rng = fdx_rand::SplitMix64::new(7);
+        let mut codes: Vec<Vec<u32>> = vec![Vec::new(); names.len()];
+        for _ in 0..2_000 {
+            let p = rng.gen_range(0..3);
+            let s = rng.gen_range(0..3);
+            let c = noisy(&mut rng, f[(p + 3 * s) as usize], 3);
+            let x = noisy(&mut rng, g[c as usize], 2);
+            let d = noisy(&mut rng, g[c as usize], 2);
+            for (col, v) in codes.iter_mut().zip([p, s, c, x, d]) {
+                col.push(v);
+            }
+        }
+        let columns = codes
+            .into_iter()
+            .zip(names.iter().zip(states))
+            .map(|(col, (name, n))| {
+                let dict = (0..n).map(|v| Value::text(format!("{name}{v}"))).collect();
+                Column::from_codes(col, dict)
+            })
+            .collect();
+        let ds = Dataset::new(Schema::from_names(&names), columns);
+        let (p, s, c, x, d) = (0, 1, 2, 3, 4);
+        let cands = FdSet::from_fds([
+            Fd::new([s], p),
+            Fd::new([p, s], c),
+            Fd::new([c], d),
+            Fd::new([c, d], x),
+        ]);
+        let refined = refine(&ds, &cands, crate::FdxConfig::default().min_lift);
+        let truth = FdSet::from_fds([Fd::new([p, s], c), Fd::new([c], d), Fd::new([c], x)]);
+        assert_eq!(
+            refined.fds(),
+            truth.fds(),
+            "got {}",
+            refined.render(ds.schema())
+        );
     }
 }
