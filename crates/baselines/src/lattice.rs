@@ -39,11 +39,24 @@ pub fn members(set: AttrSet) -> Vec<AttrId> {
 /// Apriori candidate generation: joins size-ℓ sets sharing all but their
 /// highest attribute, keeping only candidates whose every ℓ-subset is in
 /// `level`. `level` must be sorted.
-pub fn next_level(level: &[AttrSet]) -> Vec<AttrSet> {
+///
+/// The join compares every pair of sets, so it is quadratic in the level
+/// size: about 14 s for Alarm's 66 045 four-attribute sets on a 2-vCPU
+/// Xeon VM. It asks
+/// `out_of_time` once per set of `level` and returns `None` as soon as
+/// that answers `true`, so a search under a wall-clock budget stops
+/// inside it.
+pub fn next_level(
+    level: &[AttrSet],
+    mut out_of_time: impl FnMut() -> bool,
+) -> Option<Vec<AttrSet>> {
     use std::collections::HashSet;
     let present: HashSet<AttrSet> = level.iter().copied().collect();
     let mut out = Vec::new();
     for (i, &x) in level.iter().enumerate() {
+        if out_of_time() {
+            return None;
+        }
         let x_top = 127 - x.leading_zeros() as usize;
         let x_prefix = x & !(singleton(x_top));
         for &y in &level[i + 1..] {
@@ -64,7 +77,7 @@ pub fn next_level(level: &[AttrSet]) -> Vec<AttrSet> {
     }
     out.sort_unstable();
     out.dedup();
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -83,7 +96,7 @@ mod tests {
     fn next_level_joins_prefix_pairs() {
         // Level 1: {0},{1},{2} → level 2: all pairs.
         let l1 = vec![singleton(0), singleton(1), singleton(2)];
-        let l2 = next_level(&l1);
+        let l2 = next_level(&l1, || false).unwrap();
         assert_eq!(l2.len(), 3);
         assert!(l2.contains(&(singleton(0) | singleton(1))));
         assert!(l2.contains(&(singleton(1) | singleton(2))));
@@ -93,14 +106,26 @@ mod tests {
     fn next_level_requires_all_subsets() {
         // {0,1} and {0,2} present but {1,2} missing → no {0,1,2}.
         let l2 = vec![singleton(0) | singleton(1), singleton(0) | singleton(2)];
-        assert!(next_level(&l2).is_empty());
+        assert!(next_level(&l2, || false).unwrap().is_empty());
         // Add {1,2}: now {0,1,2} generates.
         let l2_full = vec![
             singleton(0) | singleton(1),
             singleton(0) | singleton(2),
             singleton(1) | singleton(2),
         ];
-        let l3 = next_level(&l2_full);
+        let l3 = next_level(&l2_full, || false).unwrap();
         assert_eq!(l3, vec![singleton(0) | singleton(1) | singleton(2)]);
+    }
+
+    #[test]
+    fn next_level_stops_when_out_of_time() {
+        let l1: Vec<AttrSet> = (0..10).map(singleton).collect();
+        let mut asked = 0;
+        let stopped = next_level(&l1, || {
+            asked += 1;
+            asked > 3
+        });
+        assert_eq!(stopped, None);
+        assert_eq!(asked, 4, "asks once per set, and stops at the first `true`");
     }
 }

@@ -173,7 +173,7 @@ impl Pyro {
             .collect();
         let mut minimal_found: Vec<AttrSet> = Vec::new();
 
-        for _depth in 1..=self.config.max_lhs {
+        for depth in 1..=self.config.max_lhs {
             if level.is_empty() || span.elapsed_secs() > self.config.max_seconds {
                 break;
             }
@@ -210,9 +210,17 @@ impl Pyro {
                     survivors.push(x);
                 }
             }
+            // The level after the last one is never searched.
+            if depth == self.config.max_lhs {
+                break;
+            }
             // Generate the next level from non-FD survivors.
             survivors.sort_unstable();
-            let next = lattice::next_level(&survivors);
+            let Some(next) =
+                lattice::next_level(&survivors, || span.elapsed_secs() > self.config.max_seconds)
+            else {
+                return;
+            };
             let mut next_partitions = HashMap::with_capacity(next.len());
             for &cand in &next {
                 if span.elapsed_secs() > self.config.max_seconds {

@@ -7,7 +7,7 @@
 //! * `FDX_BENCH_INSTANCES` — instances per synthetic setting (default 3;
 //!   the paper uses 5),
 //! * `FDX_BENCH_ROWS` — sample size for the known-structure networks
-//!   (default 2000),
+//!   (default 2000), and `fig6`'s tuple count (default 1000),
 //! * `FDX_BENCH_BUDGET` — per-method wall-clock budget in seconds
 //!   (default 60).
 

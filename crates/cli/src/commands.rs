@@ -778,6 +778,50 @@ mod tests {
     }
 
     #[test]
+    fn gram_words_count_no_batch_padding() {
+        let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join("fdx_cli_gram_words_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv_path = dir.join("w.csv");
+        // 4000 rows pack 63-word block rows, so one Gram folds a batch of 8
+        // sort blocks and 20 attributes fold as 8, 8 and 4. A last batch
+        // that counted its 4 empty slots would add 4 · 63 words to every
+        // one of its 210 row pairs.
+        let (rows, k, w) = (4000u64, 20u64, 63u64);
+        let mut csv = (0..k)
+            .map(|a| format!("a{a}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        csv.push('\n');
+        for i in 0..rows {
+            let row: Vec<String> = (0..k)
+                .map(|a| format!("v{}", (i * (a + 7)) % (3 + a)))
+                .collect();
+            csv.push_str(&row.join(","));
+            csv.push('\n');
+        }
+        std::fs::write(&csv_path, csv).unwrap();
+        let metrics_path = dir.join("w.jsonl");
+        let opts = DiscoverOptions {
+            threads: Some(1),
+            validate: false,
+            metrics: Some(metrics_path.to_str().unwrap().to_string()),
+            ..Default::default()
+        };
+        discover(csv_path.to_str().unwrap(), &opts).unwrap();
+        let text = std::fs::read_to_string(&metrics_path).unwrap();
+        let prefix = r#"{"kind":"counter","name":"fdx.transform.gram_words","value":"#;
+        let words: u64 = text
+            .lines()
+            .find_map(|line| line.strip_prefix(prefix))
+            .and_then(|rest| rest.trim_end_matches('}').parse().ok())
+            .unwrap_or_else(|| panic!("gram_words missing from metrics:\n{text}"));
+        // One Gram per block would count k(k+1)/2 row pairs of w words, k
+        // times over.
+        assert_eq!(words, k * (k * (k + 1) / 2) * w);
+    }
+
+    #[test]
     fn discover_metrics_carry_the_solves_glasso_gauges() {
         let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("fdx_cli_glasso_gauges_test");

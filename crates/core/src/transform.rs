@@ -1,8 +1,8 @@
 use fdx_data::{Dataset, NULL_CODE};
-use fdx_linalg::{BitMatrix, Matrix};
+use fdx_linalg::Matrix;
 use fdx_obs::Stopwatch;
 use fdx_rand::SplitMix64;
-use fdx_stats::{fold_block, ShiftBlocks};
+use fdx_stats::ShiftBlocks;
 
 use crate::config::TransformConfig;
 
@@ -176,10 +176,12 @@ pub const MAX_TRANSFORM_ROWS: usize = u32::MAX as usize;
 /// [`fdx_stats::ShiftBlocks`].
 ///
 /// Every aggregate is an exact integer: agreement bits are packed 64 to a
-/// word and all `k²` co-agreement counts come out of the cache-blocked
-/// popcount Gram kernel ([`BitMatrix::gram_accumulate`]), so this path is
-/// bit-identical to any scalar evaluation of the same pairs — the property
-/// `tests/bitkernel.rs` pins.
+/// word, and all `k²` co-agreement counts come out of the cache-blocked
+/// popcount Gram kernel
+/// ([`BitMatrix::gram_accumulate_words`](fdx_linalg::BitMatrix::gram_accumulate_words)),
+/// run once per batch of sort blocks laid side by side
+/// ([`ShiftBlocks::fold`]), so this path is bit-identical to any scalar
+/// evaluation of the same pairs — the property `tests/bitkernel.rs` pins.
 ///
 /// # Panics
 ///
@@ -195,17 +197,32 @@ pub fn pair_transform(ds: &Dataset, cfg: &TransformConfig) -> PairStats {
     // The circular-shift layout is built once, before the parallel region,
     // and shared read-only by its workers.
     let blocks = ShiftBlocks::new(&columns, cfg.seed);
+    // Each worker folds its sort blocks in batches of up to `batch_len`; a
+    // batch never spans two workers' chunks, so a worker's batch matrix has
+    // no more slots than its chunk has blocks.
     let accumulate = |ids: &[usize]| {
         let mut local = PairStats::zeros(k);
         let mut split = Split::start();
-        let mut scratch = blocks.scratch();
-        for &attr in ids {
-            blocks.sort(attr, &mut scratch);
-            split.sorted();
-            let bits = blocks.compare(&mut scratch);
-            split.packed();
-            accumulate_block(bits, attr, &mut local);
-            split.folded(bits);
+        let mut scratch = blocks.scratch(ids.len());
+        for batch in ids.chunks(scratch.slots()) {
+            for (slot, &attr) in batch.iter().enumerate() {
+                blocks.sort(attr, &mut scratch);
+                split.sorted();
+                blocks.compare(slot, &mut scratch);
+                split.packed();
+            }
+            let words = blocks.fold(
+                &scratch,
+                batch,
+                &mut local.co_counts,
+                &mut local.ones,
+                &mut local.block_ones,
+            );
+            for &attr in batch {
+                local.block_sizes[attr] += n;
+            }
+            local.n_samples += n * batch.len();
+            split.folded(k, words);
         }
         split.record();
         local
@@ -280,12 +297,12 @@ impl Split {
         self.pack_secs += self.lap();
     }
 
-    /// Ends the fold of `bits`, whose Gram counted `k(k+1)/2` row pairs of
-    /// `words_per_row` words each.
-    fn folded(&mut self, bits: &BitMatrix) {
+    /// Ends the fold of a batch, whose Gram counted `k(k+1)/2` row pairs of
+    /// `words` words each.
+    fn folded(&mut self, k: usize, words: usize) {
         self.gram_secs += self.lap();
-        let k = bits.rows() as u64;
-        self.gram_words += k * (k + 1) / 2 * bits.words_per_row() as u64;
+        let k = k as u64;
+        self.gram_words += k * (k + 1) / 2 * words as u64;
     }
 
     fn record(self) {
@@ -301,19 +318,6 @@ impl Split {
 /// Whole microseconds in `secs`.
 fn micros(secs: f64) -> u64 {
     (secs * 1e6).round() as u64
-}
-
-/// Folds one sort block's packed agreement rows into the running totals.
-fn accumulate_block(bits: &BitMatrix, attr: usize, out: &mut PairStats) {
-    fold_block(
-        bits,
-        attr,
-        &mut out.co_counts,
-        &mut out.ones,
-        &mut out.block_ones,
-    );
-    out.block_sizes[attr] += bits.bits();
-    out.n_samples += bits.bits();
 }
 
 /// Materializes Algorithm 2's binary matrix `D_t` (`n·k × k`, entries

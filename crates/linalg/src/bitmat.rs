@@ -15,11 +15,13 @@
 //! see garbage.
 //!
 //! The Gram kernel walks the words in column blocks (default
-//! [`BitMatrix::DEFAULT_BLOCK_WORDS`] words ≈ 4 KiB per row-slice) so that
+//! [`BitMatrix::DEFAULT_BLOCK_WORDS`] words = 4 KiB per row-slice) so that
 //! for wide matrices the row-slices of a block stay cache-resident across
 //! its `k²/2` pairs; co-counts accumulate across blocks by integer
 //! addition, which is associative, so the block width never changes the
-//! result.
+//! result. [`BitMatrix::gram_accumulate_words`] counts a prefix of every
+//! row, so a caller can fill a matrix's rows part way and count only what
+//! it filled.
 //!
 //! Inside a column block the pairs run in register tiles: a tile is up to
 //! `T` a-rows × `T` b-rows ([`TILE`] in the AVX-512 copy, [`SCALAR_TILE`]
@@ -48,8 +50,11 @@
 //! lets LLVM emit that copy's instructions. The scalar copies use 1 × 1
 //! tiles: their popcounts, not their loads, bound them. All copies count
 //! the same integers, which the tests below pin. The Gram's diagonal is
-//! each row's popcount, so callers that fold a block take row popcounts
-//! from there; [`BitMatrix::row_popcounts`] is the plain loop.
+//! each row's popcount; [`BitMatrix::add_row_popcounts`] counts part of
+//! every row, for callers that need that, with one plain loop compiled in
+//! the same three copies.
+
+use std::ops::Range;
 
 /// Packed row-major binary matrix over `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,10 +68,14 @@ pub struct BitMatrix {
 impl BitMatrix {
     /// Default Gram-kernel block width: 512 words = 4 KiB per row-slice.
     ///
-    /// Two slices (the pair being ANDed) plus the accumulator fit well
-    /// inside a 32 KiB L1 even with prefetch traffic; for the transform's
-    /// typical `m ≤ 64 · 3000` bits a row is ~24 KiB, so blocking starts
-    /// paying off exactly where rows stop fitting in L1 whole.
+    /// A tile's eight row slices then take 32 KiB, the size of the L1 data
+    /// cache of the x86-64 cores measured. One sort block of the pair
+    /// transform holds one bit per row of the table, so its rows are
+    /// `⌈n/64⌉` words: 63 words (500 bytes) at 4000 rows, and a whole
+    /// column block only from 32 705 rows up. The transform therefore lays
+    /// `⌊512 / ⌈n/64⌉⌋` blocks side by side in one matrix and counts them
+    /// with one Gram, whose rows are then close to this width (DESIGN.md
+    /// §15).
     pub const DEFAULT_BLOCK_WORDS: usize = 512;
 
     /// All-zeros matrix with `rows` rows of `bits` bits each.
@@ -129,11 +138,34 @@ impl BitMatrix {
         (self.data[r * w + i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Population count of each row — `|z_a|` for every attribute.
-    pub fn row_popcounts(&self) -> Vec<u64> {
-        (0..self.rows)
-            .map(|r| self.row(r).iter().map(|w| u64::from(w.count_ones())).sum())
-            .collect()
+    /// Adds each row's population count over the words `words` into `out`:
+    /// `out[r] += |row_r[words]|`.
+    ///
+    /// One plain loop, compiled with the features of the Gram copy
+    /// [`PopcountKernel::detect`] picks, so `count_ones` becomes that
+    /// copy's `popcnt` or `vpopcntq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != rows` or `words` ends past a row.
+    pub fn add_row_popcounts(&self, words: Range<usize>, out: &mut [u64]) {
+        assert_eq!(out.len(), self.rows, "one popcount per row");
+        assert!(
+            words.start <= words.end && words.end <= self.words_per_row,
+            "word range past the end of a row"
+        );
+        match PopcountKernel::detect() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `detect` returns `Avx512` only when the running CPU
+            // supports `avx512f` and `avx512vpopcntdq`, the features this
+            // copy enables.
+            PopcountKernel::Avx512 => unsafe { popcounts_avx512(self, words, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `detect` returns `Popcnt` only when the running CPU
+            // supports `popcnt`, the one feature this copy enables.
+            PopcountKernel::Popcnt => unsafe { popcounts_popcnt(self, words, out) },
+            _ => popcounts_body(self, words, out),
+        }
     }
 
     /// Upper-triangular (inclusive) popcount Gram matrix.
@@ -164,23 +196,38 @@ impl BitMatrix {
     ///
     /// Panics if `acc.len() != rows * rows` or `block_words == 0`.
     pub fn gram_accumulate(&self, block_words: usize, acc: &mut [u64]) {
+        self.gram_accumulate_words(self.words_per_row, block_words, acc);
+    }
+
+    /// [`BitMatrix::gram_accumulate`] over the first `words` words of every
+    /// row: `acc[a * rows + b] += |row_a[..words] AND row_b[..words]|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != rows * rows`, `block_words == 0` or `words`
+    /// exceeds [`BitMatrix::words_per_row`].
+    pub fn gram_accumulate_words(&self, words: usize, block_words: usize, acc: &mut [u64]) {
         assert_eq!(
             acc.len(),
             self.rows * self.rows,
             "gram accumulator has wrong shape"
         );
         assert!(block_words > 0, "gram block width must be positive");
+        assert!(
+            words <= self.words_per_row,
+            "gram prefix past the end of a row"
+        );
         match PopcountKernel::detect() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `detect` returns `Avx512` only when the running CPU
             // supports `avx512f` and `avx512vpopcntdq`, the features this
             // copy enables.
-            PopcountKernel::Avx512 => unsafe { gram_avx512(self, block_words, acc) },
+            PopcountKernel::Avx512 => unsafe { gram_avx512(self, words, block_words, acc) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `detect` returns `Popcnt` only when the running CPU
             // supports `popcnt`, the one feature this copy enables.
-            PopcountKernel::Popcnt => unsafe { gram_popcnt(self, block_words, acc) },
-            _ => gram_body(self, block_words, acc, tile_words::<SCALAR_TILE>),
+            PopcountKernel::Popcnt => unsafe { gram_popcnt(self, words, block_words, acc) },
+            _ => gram_body(self, words, block_words, acc, tile_words::<SCALAR_TILE>),
         }
     }
 }
@@ -248,7 +295,8 @@ const TILE: usize = 4;
 /// (DESIGN.md §15).
 const SCALAR_TILE: usize = 1;
 
-/// The blocked, tiled Gram loop, inlined into each dispatch copy.
+/// The blocked, tiled Gram loop over the first `words` words of each row,
+/// inlined into each dispatch copy.
 ///
 /// `tile(xs, ys)` returns `|xs[i] AND ys[j]|` for every entry of a tile of
 /// equal-length row slices. A tile that runs past row `k − 1` repeats that
@@ -256,6 +304,7 @@ const SCALAR_TILE: usize = 1;
 #[inline(always)]
 fn gram_body<const T: usize>(
     m: &BitMatrix,
+    words: usize,
     block_words: usize,
     acc: &mut [u64],
     tile: impl Fn(&[&[u64]; T], &[&[u64]; T]) -> [[u64; T]; T],
@@ -263,8 +312,8 @@ fn gram_body<const T: usize>(
     let k = m.rows;
     let w = m.words_per_row;
     let mut start = 0;
-    while start < w {
-        let end = (start + block_words).min(w);
+    while start < words {
+        let end = (start + block_words).min(words);
         // Every row's slice of this block, then `T - 1` repeats of the last
         // row, so the rows of any tile are `T` consecutive entries.
         let slices: Vec<&[u64]> = (0..k + T - 1)
@@ -315,8 +364,8 @@ fn tile_words<const T: usize>(xs: &[&[u64]; T], ys: &[&[u64]; T]) -> [[u64; T]; 
 /// SAFETY: the running CPU must support `popcnt` (callers detect it first).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
-unsafe fn gram_popcnt(m: &BitMatrix, block_words: usize, acc: &mut [u64]) {
-    gram_body(m, block_words, acc, tile_words::<SCALAR_TILE>);
+unsafe fn gram_popcnt(m: &BitMatrix, words: usize, block_words: usize, acc: &mut [u64]) {
+    gram_body(m, words, block_words, acc, tile_words::<SCALAR_TILE>);
 }
 
 /// [`gram_body`] with the 512-bit tile.
@@ -326,12 +375,44 @@ unsafe fn gram_popcnt(m: &BitMatrix, block_words: usize, acc: &mut [u64]) {
 /// SAFETY: the running CPU must support `avx512f` and `avx512vpopcntdq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn gram_avx512(m: &BitMatrix, block_words: usize, acc: &mut [u64]) {
-    gram_body(m, block_words, acc, |xs, ys| {
+unsafe fn gram_avx512(m: &BitMatrix, words: usize, block_words: usize, acc: &mut [u64]) {
+    gram_body(m, words, block_words, acc, |xs, ys| {
         // SAFETY: this copy runs only where `avx512f` and `avx512vpopcntdq`
         // were detected, the features `tile_avx512` needs.
         unsafe { tile_avx512(xs, ys) }
     });
+}
+
+/// The row-popcount loop, inlined into each dispatch copy.
+#[inline(always)]
+fn popcounts_body(m: &BitMatrix, words: Range<usize>, out: &mut [u64]) {
+    for (r, out) in out.iter_mut().enumerate() {
+        let row = &m.row(r)[words.clone()];
+        *out += row.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+    }
+}
+
+/// [`popcounts_body`] compiled with the `popcnt` instruction.
+///
+/// # Safety
+///
+/// SAFETY: the running CPU must support `popcnt` (callers detect it first).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+unsafe fn popcounts_popcnt(m: &BitMatrix, words: Range<usize>, out: &mut [u64]) {
+    popcounts_body(m, words, out);
+}
+
+/// [`popcounts_body`] compiled with `avx512vpopcntdq`, which LLVM
+/// vectorizes into `vpopcntq`.
+///
+/// # Safety
+///
+/// SAFETY: the running CPU must support `avx512f` and `avx512vpopcntdq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn popcounts_avx512(m: &BitMatrix, words: Range<usize>, out: &mut [u64]) {
+    popcounts_body(m, words, out);
 }
 
 /// One [`TILE`] × [`TILE`] tile of `|xs[i] AND ys[j]|`, 8 words per step.
@@ -487,12 +568,49 @@ mod tests {
         assert_eq!(m.row(1)[2], 1 << 1);
     }
 
+    /// Every row's popcount over `words`, from [`BitMatrix::add_row_popcounts`].
+    fn row_popcounts(m: &BitMatrix, words: Range<usize>) -> Vec<u64> {
+        let mut out = vec![0; m.rows()];
+        m.add_row_popcounts(words, &mut out);
+        out
+    }
+
     #[test]
     fn row_popcounts_match_set_bits() {
         let m = filled(5, 200, 7);
-        for (r, &pop) in m.row_popcounts().iter().enumerate() {
+        for (r, &pop) in row_popcounts(&m, 0..m.words_per_row()).iter().enumerate() {
             let manual = (0..200).filter(|&i| m.get(r, i)).count() as u64;
             assert_eq!(pop, manual, "row {r}");
+        }
+        // Every word range, each added onto counts already there.
+        for lo in 0..=4 {
+            for hi in lo..=4 {
+                let mut out = vec![7; 5];
+                m.add_row_popcounts(lo..hi, &mut out);
+                for (r, &pop) in out.iter().enumerate() {
+                    let manual = (lo * 64..(hi * 64).min(200))
+                        .filter(|&i| m.get(r, i))
+                        .count() as u64;
+                    assert_eq!(pop, 7 + manual, "row {r} words {lo}..{hi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gram_prefix_counts_only_its_words() {
+        let m = filled(6, 640, 11);
+        for words in 0..=10 {
+            // The same rows cut to `words` words.
+            let mut cut = BitMatrix::zeros(6, words * 64);
+            for r in 0..6 {
+                cut.row_mut(r).copy_from_slice(&m.row(r)[..words]);
+            }
+            for block in [1, 3, 512] {
+                let mut acc = vec![0u64; 36];
+                m.gram_accumulate_words(words, block, &mut acc);
+                assert_eq!(acc, naive_gram(&cut), "words={words} block={block}");
+            }
         }
     }
 
@@ -533,7 +651,7 @@ mod tests {
     /// Every Gram copy this CPU can run, by name.
     fn runnable_copies() -> Vec<(&'static str, GramCopy)> {
         let mut copies: Vec<(&'static str, GramCopy)> = vec![("portable", |m, block, acc| {
-            gram_body(m, block, acc, tile_words::<SCALAR_TILE>)
+            gram_body(m, m.words_per_row(), block, acc, tile_words::<SCALAR_TILE>)
         })];
         #[cfg(target_arch = "x86_64")]
         {
@@ -541,14 +659,14 @@ mod tests {
                 // SAFETY: the running CPU was just detected to support
                 // `popcnt`, the only feature this copy enables.
                 copies.push(("popcnt", |m, block, acc| unsafe {
-                    gram_popcnt(m, block, acc)
+                    gram_popcnt(m, m.words_per_row(), block, acc)
                 }));
             }
             if PopcountKernel::detect() == PopcountKernel::Avx512 {
                 // SAFETY: `detect` found `avx512f` and `avx512vpopcntdq`,
                 // the features this copy enables.
                 copies.push(("avx512", |m, block, acc| unsafe {
-                    gram_avx512(m, block, acc)
+                    gram_avx512(m, m.words_per_row(), block, acc)
                 }));
             }
         }
@@ -577,7 +695,7 @@ mod tests {
                 assert_eq!(m.words_per_row(), w);
                 let naive = naive_gram(&m);
                 let diagonal: Vec<u64> = (0..rows).map(|r| naive[r * rows + r]).collect();
-                assert_eq!(m.row_popcounts(), diagonal, "rows={rows} words={w}");
+                assert_eq!(row_popcounts(&m, 0..w), diagonal, "rows={rows} words={w}");
                 for block in [1usize, 7, 8, 512] {
                     for &(name, gram) in &copies {
                         let mut acc = vec![0u64; rows * rows];
@@ -623,7 +741,7 @@ mod tests {
     fn clear_resets_without_shape_change() {
         let mut m = filled(3, 90, 1);
         m.clear();
-        assert_eq!(m.row_popcounts(), vec![0, 0, 0]);
+        assert_eq!(row_popcounts(&m, 0..m.words_per_row()), vec![0, 0, 0]);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.bits(), 90);
     }

@@ -20,8 +20,8 @@
 //! partition.
 //!
 //! The pair transform's circular-shift blocks (Algorithm 2) are packed by
-//! one kernel, [`ShiftBlocks`], and [`fold_block`] adds each block into the
-//! counters of `fdx_core::pair_transform`.
+//! one kernel, [`ShiftBlocks`], whose [`ShiftBlocks::fold`] adds each batch
+//! of blocks into the counters of `fdx_core::pair_transform`.
 
 mod bitpack;
 mod chi2;
@@ -40,4 +40,4 @@ pub use groups::{
     code_pair_count, group_ids, joint_counts, joint_pair_count, refine_groups,
     stable_sort_by_codes, GroupIds,
 };
-pub use shift::{fold_block, CompareKernel, ShiftBlocks, ShiftScratch};
+pub use shift::{CompareKernel, ShiftBlocks, ShiftScratch};

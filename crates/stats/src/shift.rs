@@ -7,8 +7,16 @@
 //! One block is a `k × n` bit-matrix: bit `r` of row `a` says whether the
 //! `r`-th pair agrees on attribute `a` (a NULL agrees with nothing, another
 //! NULL included). [`ShiftBlocks`] is the single implementation of
-//! that loop; [`fold_block`] adds one block into the pair-statistics
-//! counters.
+//! that loop.
+//!
+//! Blocks are folded into the pair-statistics counters in batches. A block
+//! row is `w = ⌈n/64⌉` words, and [`ShiftBlocks::batch_len`] blocks, as
+//! many as fit [`BitMatrix::DEFAULT_BLOCK_WORDS`] words side by side, share
+//! one `k`-row [`BitMatrix`]: [`ShiftBlocks::compare`] writes a block into
+//! its own `w`-word slot of every row, and [`ShiftBlocks::fold`] counts the
+//! filled slots with one popcount Gram, so the Gram's rows are up to a
+//! column block long however short one block's rows are. Every count is
+//! an exact integer, so a batch counts what its blocks would one by one.
 //!
 //! Two layouts compute the same bits:
 //!
@@ -36,14 +44,16 @@
 //! The row compare runs in one of two copies, picked at run time by
 //! [`CompareKernel::detect`]:
 //!
-//! * on x86-64 with `avx512f` + `avx512bw`, each chunk of up to 64
-//!   attributes of a pair is two zero-masked row loads and one masked
-//!   `vpcmpeq` straight into the chunk's agreement word; a `vpcmpneq`
-//!   against the NULL sentinel supplies the compare's mask. Up to 32
-//!   attributes, a tile keeps each pair's word at the narrowest of
-//!   `u8`/`u16`/`u32`, and an attribute's block word is one `vptestm` per
-//!   tile register. Wider rows keep one 64-bit word per chunk and the
-//!   64 × 64 transpose. This copy is row-major at every `k`;
+//! * on x86-64 with `avx512f` + `avx512bw`, a pair's agreement word is a
+//!   masked `vpcmpeq` of its two rows, under a `vpcmpneq` of the first
+//!   row against the NULL sentinel. Up to 32 attributes, a pair is two
+//!   zero-masked row loads, a tile keeps each pair's word at the narrowest
+//!   of `u8`/`u16`/`u32`, and an attribute's block word is one `vptestm`
+//!   per tile register. Wider rows run one 64-attribute chunk at a time:
+//!   the tile's rows are loaded once each, since pair `j`'s second row is
+//!   pair `j + 1`'s first (unmasked loads, but for a last, partial chunk),
+//!   and the tile's 64 chunk words are transposed in eight `zmm`
+//!   registers. This copy is row-major at every `k`;
 //! * everywhere else, the portable copy compares a pair into a 0/1 byte
 //!   buffer (a plain lane-wise loop the auto-vectorizer widens), packs it
 //!   eight bytes per multiply and transposes 64 × 64 tiles. It is
@@ -157,11 +167,15 @@ struct RowMajor<T> {
     cells: Vec<T>,
 }
 
-/// Per-thread buffers for [`ShiftBlocks::sort`] and
-/// [`ShiftBlocks::compare`]; reused across blocks.
+/// Per-thread buffers for [`ShiftBlocks::sort`], [`ShiftBlocks::compare`]
+/// and [`ShiftBlocks::fold`]; reused across blocks.
 #[derive(Debug)]
 pub struct ShiftScratch {
-    /// The block: `k` rows of `n` pair bits.
+    /// Blocks a batch holds: at least one, at most
+    /// [`ShiftBlocks::batch_len`].
+    slots: usize,
+    /// A batch of blocks: `k` rows of `slots` slots of `⌈n/64⌉` words, slot
+    /// `i`'s words holding the `n` pair bits of the batch's block `i`.
     bits: BitMatrix,
     /// Sort permutation plus a wrap entry (`order[n] = order[0]`): matrix
     /// positions (row-major) or row ids (per-column).
@@ -172,9 +186,16 @@ pub struct ShiftScratch {
     /// Portable row compare: one pair's agreement bytes, `k` rounded up to
     /// 64 (the padding stays zero).
     eq: Vec<u8>,
-    /// Row compare with 64-bit tile words: 64 pair words per 64-attribute
-    /// chunk.
+    /// Portable row compare: 64 pair words per 64-attribute chunk.
     tile: Vec<u64>,
+}
+
+impl ShiftScratch {
+    /// Blocks one batch holds: the slots [`ShiftBlocks::compare`] can fill
+    /// and [`ShiftBlocks::fold`] counts.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
 }
 
 impl<'a> ShiftBlocks<'a> {
@@ -250,11 +271,33 @@ impl<'a> ShiftBlocks<'a> {
         }
     }
 
-    /// Buffers for the blocks of this call.
-    pub fn scratch(&self) -> ShiftScratch {
+    /// Blocks per batch: as many `⌈n/64⌉`-word block rows as fit
+    /// [`BitMatrix::DEFAULT_BLOCK_WORDS`] words, at least one and at most
+    /// `k`.
+    ///
+    /// Above 32 768 rows a block row alone is longer than that, and a batch
+    /// is one block.
+    pub fn batch_len(&self) -> usize {
+        let w = self.n.div_ceil(64);
+        BitMatrix::DEFAULT_BLOCK_WORDS
+            .checked_div(w)
+            .unwrap_or(1)
+            .clamp(1, self.k.max(1))
+    }
+
+    /// Buffers for the blocks of this call, in batches of up to `blocks`
+    /// blocks: [`ShiftScratch::slots`] is `blocks` clamped to
+    /// `1..=batch_len()`.
+    ///
+    /// A caller that folds fewer blocks than a batch holds asks for as many
+    /// slots as it has blocks, so its batch matrix has no slot it never
+    /// fills.
+    pub fn scratch(&self, blocks: usize) -> ShiftScratch {
         let chunks = self.k.div_ceil(64);
+        let slots = blocks.clamp(1, self.batch_len());
         ShiftScratch {
-            bits: BitMatrix::zeros(self.k, self.n),
+            slots,
+            bits: BitMatrix::zeros(self.k, slots * self.n.div_ceil(64) * 64),
             order: Vec::with_capacity(self.n + 1),
             codes: Vec::with_capacity(self.n + 1),
             eq: vec![0; chunks * 64],
@@ -293,60 +336,121 @@ impl<'a> ShiftBlocks<'a> {
     }
 
     /// Packs the block `scratch` was last sorted into by
-    /// [`ShiftBlocks::sort`]: its `n` circular pairs, one bit-row per
-    /// attribute.
+    /// [`ShiftBlocks::sort`] into batch slot `slot`: its `n` circular pairs,
+    /// words `slot · ⌈n/64⌉..` of one bit-row per attribute.
     ///
-    /// Every word of the returned matrix is assigned, and bits past `n`
-    /// are zero.
+    /// Every word of the slot is assigned, and bits past `n` are zero.
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` was made for other blocks or holds no sort.
-    pub fn compare<'s>(&self, scratch: &'s mut ShiftScratch) -> &'s BitMatrix {
+    /// Panics if `slot >= scratch.slots()`, or `scratch` was made for
+    /// other blocks or holds no sort.
+    pub fn compare(&self, slot: usize, scratch: &mut ShiftScratch) {
         self.check(scratch);
+        assert!(slot < scratch.slots, "batch slot out of range");
         if self.n > 0 {
             assert_eq!(scratch.order.len(), self.n + 1, "compare before sort");
+            let base = slot * self.n.div_ceil(64);
             match &self.layout {
-                Layout::Columns { columns, .. } => gather_block(columns, scratch),
-                Layout::Rows8(m) => self.rows_block(m, scratch),
-                Layout::Rows16(m) => self.rows_block(m, scratch),
-                Layout::Rows32(m) => self.rows_block(m, scratch),
+                Layout::Columns { columns, .. } => gather_block(columns, scratch, base),
+                Layout::Rows8(m) => self.rows_block(m, scratch, base),
+                Layout::Rows16(m) => self.rows_block(m, scratch, base),
+                Layout::Rows32(m) => self.rows_block(m, scratch, base),
             }
         }
-        &scratch.bits
+    }
+
+    /// Adds the batch in `scratch` into the pair-statistics counters: its
+    /// slot `i` holds the block sorted by `attrs[i]`, compared by
+    /// [`ShiftBlocks::compare`]. Returns the words of each row the Gram
+    /// counted, `attrs.len() · ⌈n/64⌉`.
+    ///
+    /// One popcount Gram over the filled slots adds every block's pairs
+    /// into `co_counts`. Its diagonal (`row AND row`) adds each row's
+    /// popcount over the batch into `ones`. A block's own counts,
+    /// `block_ones[attrs[i] * k..]`, are the popcounts of its slot; the
+    /// last block's are the diagonal's less the others', so a one-block
+    /// batch takes them from the diagonal alone, with no popcount pass.
+    ///
+    /// An empty `attrs` adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attrs` is longer than [`ShiftScratch::slots`], `scratch`
+    /// was made for other blocks, or a counter is too short.
+    pub fn fold(
+        &self,
+        scratch: &ShiftScratch,
+        attrs: &[usize],
+        co_counts: &mut [u64],
+        ones: &mut [u64],
+        block_ones: &mut [u64],
+    ) -> usize {
+        self.check(scratch);
+        assert!(attrs.len() <= scratch.slots, "batch past its slots");
+        let Some((&last, filled)) = attrs.split_last() else {
+            return 0;
+        };
+        let (k, w) = (self.k, self.n.div_ceil(64));
+        let bits = &scratch.bits;
+        let mut rest: Vec<u64> = (0..k).map(|a| co_counts[a * k + a]).collect();
+        bits.gram_accumulate_words(attrs.len() * w, BitMatrix::DEFAULT_BLOCK_WORDS, co_counts);
+        for (a, (rest, o)) in rest.iter_mut().zip(ones.iter_mut()).enumerate() {
+            *rest = co_counts[a * k + a] - *rest;
+            *o += *rest;
+        }
+        let mut slot_ones = vec![0; k];
+        for (slot, &attr) in filled.iter().enumerate() {
+            slot_ones.fill(0);
+            bits.add_row_popcounts(slot * w..(slot + 1) * w, &mut slot_ones);
+            for ((b, rest), &c) in block_ones[attr * k..(attr + 1) * k]
+                .iter_mut()
+                .zip(&mut rest)
+                .zip(&slot_ones)
+            {
+                *b += c;
+                *rest -= c;
+            }
+        }
+        for (b, rest) in block_ones[last * k..(last + 1) * k].iter_mut().zip(rest) {
+            *b += rest;
+        }
+        attrs.len() * w
     }
 
     /// Panics unless `scratch` was made by this call's
     /// [`ShiftBlocks::scratch`] (or one of the same shape).
     fn check(&self, scratch: &ShiftScratch) {
-        assert_eq!(
-            (scratch.bits.rows(), scratch.bits.bits()),
-            (self.k, self.n),
+        assert!(
+            scratch.slots <= self.batch_len()
+                && (scratch.bits.rows(), scratch.bits.words_per_row())
+                    == (self.k, scratch.slots * self.n.div_ceil(64)),
             "scratch of another call"
         );
     }
 
-    /// The row-major block in `s.order`, compared by this call's copy.
-    fn rows_block<T: Code>(&self, m: &RowMajor<T>, s: &mut ShiftScratch) {
+    /// The row-major block in `s.order`, compared by this call's copy into
+    /// the slot whose words start at `base`.
+    fn rows_block<T: Code>(&self, m: &RowMajor<T>, s: &mut ShiftScratch, base: usize) {
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `build` admits `Avx512bw` only where `detect` returns
             // it: the CPU has `avx512f` and `avx512bw`, which this enables.
-            CompareKernel::Avx512bw => unsafe { rows_avx512bw(&m.cells, self.k, s) },
-            _ => rows_portable(&m.cells, self.k, s),
+            CompareKernel::Avx512bw => unsafe { rows_avx512bw(&m.cells, self.k, s, base) },
+            _ => rows_portable(&m.cells, self.k, s, base),
         }
     }
 }
 
 /// Per-column gather of the rows in `s.order`: gathers and packs one
-/// attribute at a time.
-fn gather_block(columns: &[&[u32]], s: &mut ShiftScratch) {
+/// attribute at a time into the slot whose words start at `base`.
+fn gather_block(columns: &[&[u32]], s: &mut ShiftScratch, base: usize) {
     // Plain locals, so the hot loops keep their pointers in registers
     // instead of reloading them after every store.
     let ShiftScratch {
         bits, order, codes, ..
     } = s;
-    let n = bits.bits();
+    let n = order.len() - 1;
     codes.resize(n + 1, 0);
     let (order, gathered) = (&order[..n], &mut codes[..=n]);
     for (a, &col) in columns.iter().enumerate() {
@@ -354,7 +458,7 @@ fn gather_block(columns: &[&[u32]], s: &mut ShiftScratch) {
             *g = col[r as usize];
         }
         gathered[n] = gathered[0];
-        pack_adjacent_agreement(gathered, bits.row_mut(a));
+        pack_adjacent_agreement(gathered, &mut bits.row_mut(a)[base..base + n.div_ceil(64)]);
     }
 }
 
@@ -367,15 +471,6 @@ trait Code: Copy + Default + Eq + TryFrom<u64> + std::fmt::Debug {
     fn narrow(code: u32) -> Self;
     /// Widens back to the dictionary code (`NULL` to [`NULL_CODE`]).
     fn widen(self) -> u32;
-    /// The agreement word of two rows of at most 64 cells: bit `a` is set
-    /// where the rows agree on cell `a` (never on NULL). Only the first
-    /// `min(x.len(), y.len())` cells of either row are read.
-    ///
-    /// # Safety
-    ///
-    /// SAFETY: the running CPU must support `avx512f` and `avx512bw`.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn agree_word(x: &[Self], y: &[Self]) -> u64;
     /// Writes word `word` of attribute rows `0..k` from a tile of 64 pair
     /// words of this width: bit `j` of row `a` is bit `a` of pair `j`.
     ///
@@ -384,6 +479,27 @@ trait Code: Copy + Default + Eq + TryFrom<u64> + std::fmt::Debug {
     /// SAFETY: the running CPU must support `avx512f` and `avx512bw`.
     #[cfg(target_arch = "x86_64")]
     unsafe fn transpose_tile(tile: &[Self], k: usize, bits: &mut BitMatrix, word: usize);
+    /// One row's chunk of up to 64 cells in registers, with the mask of its
+    /// cells that are not NULL, per register.
+    #[cfg(target_arch = "x86_64")]
+    type Chunk: Copy;
+    /// Loads `row`, at most 64 cells, and tests it against the NULL
+    /// sentinel. With `FULL` the row is 64 cells and every load is
+    /// unmasked; otherwise lanes past the row are neither read nor live.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the running CPU must support `avx512f` and `avx512bw`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load_chunk<const FULL: bool>(row: &[Self]) -> Self::Chunk;
+    /// The agreement word of two loaded chunks: bit `a` is set where both
+    /// hold cell `a` equal and `x`'s is live (not NULL).
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the running CPU must support `avx512f` and `avx512bw`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn agree_chunk(x: Self::Chunk, y: Self::Chunk) -> u64;
 }
 
 /// Implements [`Code`] for one width: its NULL sentinel is the maximum,
@@ -416,35 +532,6 @@ macro_rules! code {
             #[inline]
             #[target_feature(enable = "avx512f,avx512bw")]
             // SAFETY: the caller guarantees the features (trait contract).
-            unsafe fn agree_word(x: &[$t], y: &[$t]) -> u64 {
-                use std::arch::x86_64::*;
-                debug_assert!(x.len() <= 64 && x.len() == y.len());
-                let mut word = 0;
-                for (r, (x, y)) in x.chunks($lanes).zip(y.chunks($lanes)).enumerate() {
-                    // `chunks` never yields an empty slice, so the shift is
-                    // below the mask's width.
-                    let load = <$mask>::MAX >> ($lanes - x.len().min(y.len()));
-                    // SAFETY: only lanes set in `load`, cells inside both
-                    // slices, are read; AVX-512 never loads masked-off lanes
-                    // (no fault) and zeroes them.
-                    let (a, b) = unsafe {
-                        (
-                            $load(load, x.as_ptr().cast()),
-                            $load(load, y.as_ptr().cast()),
-                        )
-                    };
-                    // The zeroed lanes would compare equal, so compare only
-                    // under `load`, and only where `x` is not the all-ones
-                    // NULL sentinel.
-                    let live = $neq(load, a, $set1(-1));
-                    word |= u64::from($eq(live, a, b)) << (r * $lanes);
-                }
-                word
-            }
-            #[cfg(target_arch = "x86_64")]
-            #[inline]
-            #[target_feature(enable = "avx512f,avx512bw")]
-            // SAFETY: the caller guarantees the features (trait contract).
             unsafe fn transpose_tile(tile: &[$t], k: usize, bits: &mut BitMatrix, word: usize) {
                 use std::arch::x86_64::*;
                 assert_eq!(tile.len(), 64, "a tile is 64 pairs");
@@ -463,6 +550,52 @@ macro_rules! code {
                     }
                     bits.row_mut(a)[word] = w;
                 }
+            }
+            #[cfg(target_arch = "x86_64")]
+            type Chunk = (
+                [std::arch::x86_64::__m512i; 64 / $lanes],
+                [$mask; 64 / $lanes],
+            );
+            #[cfg(target_arch = "x86_64")]
+            #[inline]
+            #[target_feature(enable = "avx512f,avx512bw")]
+            // SAFETY: the caller guarantees the features (trait contract).
+            unsafe fn load_chunk<const FULL: bool>(row: &[$t]) -> Self::Chunk {
+                use std::arch::x86_64::*;
+                debug_assert!(row.len() <= 64 && (!FULL || row.len() == 64));
+                let mut regs = [_mm512_setzero_si512(); 64 / $lanes];
+                let mut live = [0; 64 / $lanes];
+                for (r, (reg, live)) in regs.iter_mut().zip(&mut live).enumerate() {
+                    let at = r * $lanes;
+                    if FULL {
+                        // SAFETY: a full row is 64 cells, so this register's
+                        // cells lie inside it; `loadu` has no alignment
+                        // requirement.
+                        *reg = unsafe { _mm512_loadu_si512(row.as_ptr().add(at).cast()) };
+                        *live = $neq(<$mask>::MAX, *reg, $set1(-1));
+                    } else if at < row.len() {
+                        let load = <$mask>::MAX >> ($lanes - (row.len() - at).min($lanes));
+                        // SAFETY: only lanes set in `load`, cells inside the
+                        // row, are read; AVX-512 never loads masked-off
+                        // lanes (no fault) and zeroes them.
+                        *reg = unsafe { $load(load, row.as_ptr().add(at).cast()) };
+                        // The zeroed lanes are not live.
+                        *live = $neq(load, *reg, $set1(-1));
+                    }
+                }
+                (regs, live)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline]
+            #[target_feature(enable = "avx512f,avx512bw")]
+            // SAFETY: the caller guarantees the features (trait contract).
+            unsafe fn agree_chunk(x: Self::Chunk, y: Self::Chunk) -> u64 {
+                use std::arch::x86_64::*;
+                let mut word = 0;
+                for (r, ((&x, &live), &y)) in x.0.iter().zip(&x.1).zip(&y.0).enumerate() {
+                    word |= u64::from($eq(live, x, y)) << (r * $lanes);
+                }
+                word
             }
         }
     };
@@ -526,11 +659,11 @@ impl<T: Code> RowMajor<T> {
 
 /// The row-major tile loop, inlined into each compare copy.
 ///
-/// The pairs `(order[r], order[r + 1])`, `r < n`, run in tiles of 64:
-/// `pair(tile, j, x, y)` compares the two rows of the tile's pair `j` into
-/// the tile, and `transpose(tile, bits, word)` turns a full tile into word
-/// `word` of every attribute row. Pairs past `n` in the last tile are
-/// zeroed first, so they leave zero bits.
+/// The pairs `(order[r], order[r + 1])`, `r < n = order.len() − 1`, run in
+/// tiles of 64: `pair(tile, j, x, y)` compares the two rows of the tile's
+/// pair `j` into the tile, and `transpose(tile, bits, t)` turns the `t`-th
+/// tile into its word of every attribute row. Pairs past `n` in the last
+/// tile are zeroed first, so they leave zero bits.
 #[inline(always)]
 fn rows_body<T: Code, W: Copy + Default>(
     cells: &[T],
@@ -541,7 +674,7 @@ fn rows_body<T: Code, W: Copy + Default>(
     mut pair: impl FnMut(&mut [W], usize, &[T], &[T]),
     mut transpose: impl FnMut(&mut [W], &mut BitMatrix, usize),
 ) {
-    let n = bits.bits();
+    let n = order.len() - 1;
     for (word, lo) in (0..n).step_by(64).enumerate() {
         let hi = (lo + 64).min(n);
         if hi - lo < 64 {
@@ -557,7 +690,7 @@ fn rows_body<T: Code, W: Copy + Default>(
 
 /// The portable copy: each pair into 0/1 bytes, packed to one word per
 /// 64-attribute chunk, and a 64 × 64 transpose per chunk.
-fn rows_portable<T: Code>(cells: &[T], k: usize, s: &mut ShiftScratch) {
+fn rows_portable<T: Code>(cells: &[T], k: usize, s: &mut ShiftScratch, base: usize) {
     let ShiftScratch {
         bits,
         order,
@@ -578,7 +711,14 @@ fn rows_portable<T: Code>(cells: &[T], k: usize, s: &mut ShiftScratch) {
                 tile[c * 64 + j] = pack64(eq);
             }
         },
-        |tile, bits, word| transpose_chunks(tile, k, bits, word),
+        |tile, bits, t| {
+            for (c, tile) in tile.chunks_exact_mut(64).enumerate() {
+                transpose64(tile);
+                for (i, &w) in tile.iter().enumerate().take(k - c * 64) {
+                    bits.row_mut(c * 64 + i)[base + t] = w;
+                }
+            }
+        },
     );
 }
 
@@ -586,45 +726,28 @@ fn rows_portable<T: Code>(cells: &[T], k: usize, s: &mut ShiftScratch) {
 ///
 /// Up to 32 attributes, a pair's word fits the narrowest of
 /// `u8`/`u16`/`u32`, so a 64-pair tile is one, two or four registers and
-/// each attribute's block word is one `vptestm` per register. Wider rows
-/// keep 64-bit chunk words and the 64 × 64 transpose, which measured
-/// faster there than eight `vptestmq` per attribute.
+/// each attribute's block word is one `vptestm` per register
+/// ([`narrow_tiles`]). Wider rows take 64-bit chunk words and a 64 × 64
+/// transpose ([`wide_tiles`]), which measured faster there than eight
+/// `vptestmq` per attribute.
 ///
 /// # Safety
 ///
 /// SAFETY: the running CPU must support `avx512f` and `avx512bw`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn rows_avx512bw<T: Code>(cells: &[T], k: usize, s: &mut ShiftScratch) {
-    let ShiftScratch {
-        bits, order, tile, ..
-    } = s;
-    if k <= 32 {
-        // SAFETY: this copy runs only where `avx512f` and `avx512bw` were
-        // detected, the features `narrow_tiles` enables.
-        return unsafe {
-            match k {
-                0..=8 => narrow_tiles::<T, u8>(cells, k, order, bits),
-                9..=16 => narrow_tiles::<T, u16>(cells, k, order, bits),
-                _ => narrow_tiles::<T, u32>(cells, k, order, bits),
-            }
-        };
+unsafe fn rows_avx512bw<T: Code>(cells: &[T], k: usize, s: &mut ShiftScratch, base: usize) {
+    let ShiftScratch { bits, order, .. } = s;
+    // SAFETY: this copy runs only where `avx512f` and `avx512bw` were
+    // detected, the features `narrow_tiles` and `wide_tiles` enable.
+    unsafe {
+        match k {
+            0..=8 => narrow_tiles::<T, u8>(cells, k, order, bits, base),
+            9..=16 => narrow_tiles::<T, u16>(cells, k, order, bits, base),
+            17..=32 => narrow_tiles::<T, u32>(cells, k, order, bits, base),
+            _ => wide_tiles(cells, k, order, bits, base),
+        }
     }
-    rows_body(
-        cells,
-        k,
-        order,
-        bits,
-        tile,
-        |tile, j, x, y| {
-            for (c, (x, y)) in x.chunks(64).zip(y.chunks(64)).enumerate() {
-                // SAFETY: this copy runs only where `avx512f` and `avx512bw`
-                // were detected, the features `agree_word` needs.
-                tile[c * 64 + j] = unsafe { T::agree_word(x, y) };
-            }
-        },
-        |tile, bits, word| transpose_chunks(tile, k, bits, word),
-    );
 }
 
 /// [`rows_body`] over a 64-entry tile of `W`, for `k` up to `W`'s width.
@@ -639,6 +762,7 @@ unsafe fn narrow_tiles<T: Code, W: Code>(
     k: usize,
     order: &[u32],
     bits: &mut BitMatrix,
+    base: usize,
 ) {
     rows_body(
         cells,
@@ -648,24 +772,168 @@ unsafe fn narrow_tiles<T: Code, W: Code>(
         &mut [W::default(); 64],
         |tile, j, x, y| {
             // SAFETY: this copy runs only where `avx512f` and `avx512bw`
-            // were detected, the features `agree_word` needs.
-            let word = unsafe { T::agree_word(x, y) };
+            // were detected, the features `load_chunk` and `agree_chunk`
+            // need.
+            let (x, y) = unsafe { (T::load_chunk::<false>(x), T::load_chunk::<false>(y)) };
+            // SAFETY: as above.
+            let word = unsafe { T::agree_chunk(x, y) };
             // `k` attributes set at most `k` low bits, which `W` holds.
             tile[j] = W::try_from(word).unwrap_or_default();
         },
         // SAFETY: as above, for the features `transpose_tile` needs.
-        |tile, bits, word| unsafe { W::transpose_tile(tile, k, bits, word) },
+        |tile, bits, t| unsafe { W::transpose_tile(tile, k, bits, base + t) },
     );
 }
 
-/// Transposes each 64-attribute chunk of a tile of 64-bit pair words and
-/// writes it as word `word` of the chunk's attribute rows.
-fn transpose_chunks(tile: &mut [u64], k: usize, bits: &mut BitMatrix, word: usize) {
-    for (c, tile) in tile.chunks_exact_mut(64).enumerate() {
-        transpose64(tile);
-        for (i, &w) in tile.iter().enumerate().take(k - c * 64) {
-            bits.row_mut(c * 64 + i)[word] = w;
+/// 64 pair words of one 64-attribute chunk, aligned for the eight 512-bit
+/// loads and stores of [`transpose64_zmm`].
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct Tile([u64; 64]);
+
+/// The AVX-512BW copy above 32 attributes: for each tile of 64 pairs, one
+/// 64-attribute chunk at a time, 64 chunk words ([`chunk_words`]) and
+/// their transpose in registers ([`transpose64_zmm`]), written as word
+/// `base + t` of the chunk's attribute rows for the `t`-th tile.
+///
+/// # Safety
+///
+/// SAFETY: the running CPU must support `avx512f` and `avx512bw`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn wide_tiles<T: Code>(
+    cells: &[T],
+    k: usize,
+    order: &[u32],
+    bits: &mut BitMatrix,
+    base: usize,
+) {
+    let n = order.len() - 1;
+    let mut tile = Tile([0; 64]);
+    for (word, lo) in (0..n).step_by(64).enumerate() {
+        let rows = &order[lo..=(lo + 64).min(n)];
+        for at in (0..k).step_by(64) {
+            let len = (k - at).min(64);
+            let words = &mut tile.0[..rows.len() - 1];
+            // SAFETY: this copy runs only where `avx512f` and `avx512bw`
+            // were detected, the features `chunk_words` enables.
+            unsafe {
+                if len == 64 {
+                    chunk_words::<T, true>(cells, k, at..at + len, rows, words);
+                } else {
+                    chunk_words::<T, false>(cells, k, at..at + len, rows, words);
+                }
+            }
+            // Pairs past `n` in the last tile leave zero bits.
+            tile.0[rows.len() - 1..].fill(0);
+            // SAFETY: as above, for the feature `transpose64_zmm` needs.
+            unsafe { transpose64_zmm(&mut tile) };
+            for (a, &w) in tile.0[..len].iter().enumerate() {
+                bits.row_mut(at + a)[base + word] = w;
+            }
         }
+    }
+}
+
+/// The agreement words of consecutive rows on the cells `chunk` of each
+/// row: `words[j]` for rows `rows[j]` and `rows[j + 1]`.
+///
+/// Each row is loaded and NULL-tested once: pair `j`'s second row carries
+/// over as pair `j + 1`'s first. With `FULL` the chunk is 64 cells and
+/// every load is unmasked.
+///
+/// # Safety
+///
+/// SAFETY: the running CPU must support `avx512f` and `avx512bw`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+// SAFETY: the caller guarantees the features (`# Safety` above).
+unsafe fn chunk_words<T: Code, const FULL: bool>(
+    cells: &[T],
+    k: usize,
+    chunk: std::ops::Range<usize>,
+    rows: &[u32],
+    words: &mut [u64],
+) {
+    let row = |r: u32| &cells[r as usize * k..][chunk.clone()];
+    // SAFETY: the caller detected the features `load_chunk` needs.
+    let mut x = unsafe { T::load_chunk::<FULL>(row(rows[0])) };
+    for (word, &r) in words.iter_mut().zip(&rows[1..]) {
+        // SAFETY: as above, for `load_chunk` and `agree_chunk`.
+        let y = unsafe { T::load_chunk::<FULL>(row(r)) };
+        // SAFETY: as above.
+        *word = unsafe { T::agree_chunk(x, y) };
+        x = y;
+    }
+}
+
+/// [`transpose64`] in eight `zmm` registers: bit `j` of `m[i]` becomes bit
+/// `i` of `m[j]`.
+///
+/// Row `i` sits in lane `i % 8` of register `i / 8`, and the rounds are
+/// [`transpose64`]'s. Rows 32, 16 and 8 apart are in registers 4, 2 and 1
+/// apart, lane for lane; rows 4, 2 and 1 apart are lanes of one register,
+/// which `vpermq` brings together. In a round of width `w`, the lower row
+/// of a pair keeps its bits outside the round's high mask and takes its
+/// partner's bits `w` below them, and the upper row keeps its bits outside
+/// the low mask and takes its partner's bits `w` above them: one shift or
+/// per-lane rotate and one `vpternlogq` select per register. AVX-512F
+/// only.
+///
+/// # Safety
+///
+/// SAFETY: the running CPU must support `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+// SAFETY: the caller guarantees the feature (`# Safety` above).
+unsafe fn transpose64_zmm(m: &mut Tile) {
+    use std::arch::x86_64::*;
+    // `keep` where `sel` is clear, `moved` where it is set: truth table
+    // 0xCA is `A ? B : C`.
+    let select = |sel, moved, keep| _mm512_ternarylogic_epi64::<0xCA>(sel, moved, keep);
+    let mut r: [__m512i; 8] = std::array::from_fn(|i| {
+        // SAFETY: words `8i..8i + 8` lie inside the 64-byte-aligned tile.
+        unsafe { _mm512_load_si512(m.0.as_ptr().add(8 * i).cast()) }
+    });
+    for (round, &mask) in TRANSPOSE_MASKS[..3].iter().enumerate() {
+        let w = 32u32 >> round;
+        let count = _mm512_set1_epi64(i64::from(w));
+        let (low, high) = (
+            _mm512_set1_epi64(mask as i64),
+            _mm512_set1_epi64((mask << w) as i64),
+        );
+        let apart = (w / 8) as usize;
+        for lo in (0..8).filter(|i| i & apart == 0) {
+            let (a, b) = (r[lo], r[lo + apart]);
+            r[lo] = select(high, _mm512_sllv_epi64(b, count), a);
+            r[lo + apart] = select(low, _mm512_srlv_epi64(a, count), b);
+        }
+    }
+    let lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    for (round, &mask) in TRANSPOSE_MASKS.iter().enumerate().skip(3) {
+        let w = 32u32 >> round;
+        let apart = _mm512_set1_epi64(i64::from(w));
+        let partner = _mm512_xor_si512(lane, apart);
+        // Lanes whose row is the upper one of its pair.
+        let upper = _mm512_test_epi64_mask(lane, apart);
+        let sel = _mm512_mask_blend_epi64(
+            upper,
+            _mm512_set1_epi64((mask << w) as i64),
+            _mm512_set1_epi64(mask as i64),
+        );
+        // Rotating left by `64 − w` is rotating right by `w`; the bits a
+        // rotation wraps around are never selected.
+        let count = _mm512_mask_blend_epi64(upper, apart, _mm512_set1_epi64(i64::from(64 - w)));
+        for reg in &mut r {
+            let moved = _mm512_rolv_epi64(_mm512_permutexvar_epi64(partner, *reg), count);
+            *reg = select(sel, moved, *reg);
+        }
+    }
+    for (i, &reg) in r.iter().enumerate() {
+        // SAFETY: as for the loads.
+        unsafe { _mm512_store_si512(m.0.as_mut_ptr().add(8 * i).cast(), reg) };
     }
 }
 
@@ -681,6 +949,17 @@ fn agree<T: Code>(x: &[T], y: &[T], eq: &mut [u8]) {
     }
 }
 
+/// The low halves of the bit blocks [`transpose64`] swaps, for block widths
+/// 32, 16, 8, 4, 2 and 1.
+const TRANSPOSE_MASKS: [u64; 6] = [
+    0x0000_0000_FFFF_FFFF,
+    0x0000_FFFF_0000_FFFF,
+    0x00FF_00FF_00FF_00FF,
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x3333_3333_3333_3333,
+    0x5555_5555_5555_5555,
+];
+
 /// Transposes a 64 × 64 bit matrix in place: bit `j` of `m[i]` becomes
 /// bit `i` of `m[j]`.
 ///
@@ -693,16 +972,8 @@ fn agree<T: Code>(x: &[T], y: &[T], eq: &mut [u8]) {
 /// Panics if `m` is not 64 words long.
 fn transpose64(m: &mut [u64]) {
     assert_eq!(m.len(), 64, "a tile is 64 words");
-    const MASKS: [u64; 6] = [
-        0x0000_0000_FFFF_FFFF,
-        0x0000_FFFF_0000_FFFF,
-        0x00FF_00FF_00FF_00FF,
-        0x0F0F_0F0F_0F0F_0F0F,
-        0x3333_3333_3333_3333,
-        0x5555_5555_5555_5555,
-    ];
     let mut w = 32;
-    for mask in MASKS {
+    for mask in TRANSPOSE_MASKS {
         for base in (0..64).step_by(2 * w) {
             for r in base..base + w {
                 let t = ((m[r] >> w) ^ m[r + w]) & mask;
@@ -711,29 +982,6 @@ fn transpose64(m: &mut [u64]) {
             }
         }
         w /= 2;
-    }
-}
-
-/// Adds one block into the pair-statistics counters.
-///
-/// The blocked popcount Gram feeds `co_counts`. Its diagonal (`row AND
-/// row`) is each row's popcount, so what the Gram adds there is also what
-/// `ones` and the block's `block_ones[attr * k..]` receive, with no second
-/// pass over the rows.
-pub fn fold_block(
-    bits: &BitMatrix,
-    attr: usize,
-    co_counts: &mut [u64],
-    ones: &mut [u64],
-    block_ones: &mut [u64],
-) {
-    let k = bits.rows();
-    let before: Vec<u64> = (0..k).map(|a| co_counts[a * k + a]).collect();
-    bits.gram_accumulate(BitMatrix::DEFAULT_BLOCK_WORDS, co_counts);
-    for (a, prev) in before.into_iter().enumerate() {
-        let p = co_counts[a * k + a] - prev;
-        ones[a] += p;
-        block_ones[attr * k + a] += p;
     }
 }
 
@@ -765,15 +1013,24 @@ mod tests {
             .collect()
     }
 
-    /// The block sorted by `attr`: [`ShiftBlocks::sort`], then
-    /// [`ShiftBlocks::compare`].
-    fn block<'s>(
+    /// The block sorted by `attr`, compared into batch slot `slot`
+    /// ([`ShiftBlocks::sort`], then [`ShiftBlocks::compare`]) and cut out of
+    /// the batch as a `k × n` matrix.
+    fn block(
         blocks: &ShiftBlocks<'_>,
         attr: usize,
-        scratch: &'s mut ShiftScratch,
-    ) -> &'s BitMatrix {
+        slot: usize,
+        scratch: &mut ShiftScratch,
+    ) -> BitMatrix {
         blocks.sort(attr, scratch);
-        blocks.compare(scratch)
+        blocks.compare(slot, scratch);
+        let w = blocks.n.div_ceil(64);
+        let mut bits = BitMatrix::zeros(blocks.k, blocks.n);
+        for a in 0..blocks.k {
+            bits.row_mut(a)
+                .copy_from_slice(&scratch.bits.row(a)[slot * w..(slot + 1) * w]);
+        }
+        bits
     }
 
     /// The blocks sorted by `attrs` by the definition: sort the shuffled
@@ -818,7 +1075,8 @@ mod tests {
     }
 
     /// Checks the blocks sorted by `attrs` of every copy against
-    /// [`reference`].
+    /// [`reference`], the `i`-th compared into batch slot `i` modulo the
+    /// batch length.
     fn check_copies(
         copies: &[(CompareKernel, bool)],
         cols: &[Vec<u32>],
@@ -829,12 +1087,13 @@ mod tests {
         let want = reference(cols, 9, attrs);
         for &(kernel, row_major) in copies {
             let blocks = ShiftBlocks::build(&views, 9, kernel, row_major);
-            let mut scratch = blocks.scratch();
-            for (&attr, want) in attrs.iter().zip(&want) {
+            let mut scratch = blocks.scratch(attrs.len());
+            for (i, (&attr, want)) in attrs.iter().zip(&want).enumerate() {
+                let slot = i % scratch.slots();
                 assert_eq!(
-                    block(&blocks, attr, &mut scratch),
+                    &block(&blocks, attr, slot, &mut scratch),
                     want,
-                    "{label} {kernel:?} row_major={row_major} attr={attr}"
+                    "{label} {kernel:?} row_major={row_major} attr={attr} slot={slot}"
                 );
             }
         }
@@ -889,12 +1148,13 @@ mod tests {
         }
     }
 
-    /// Checks `agree_word` on every row length to 64 against the byte
-    /// compare, on rows cut out of two buffers so that each row ends where
-    /// the buffers' 64 trailing cells, equal in both and not NULL, begin:
-    /// any lane read past the row sets a bit past its length.
+    /// Checks `agree_chunk` of two `load_chunk`s, masked and (at 64 cells)
+    /// unmasked, on every row length to 64 against the byte compare, on
+    /// rows cut out of two buffers so that each row ends where the buffers'
+    /// 64 trailing cells, equal in both and not NULL, begin: any lane read
+    /// past the row sets a bit past its length.
     #[cfg(target_arch = "x86_64")]
-    fn check_agree_word_reads_only_its_rows<T: Code>(codes: impl Fn(u64) -> T) {
+    fn check_chunks_read_only_their_rows<T: Code>(codes: impl Fn(u64) -> T) {
         let fill = |salt: u64| -> Vec<T> {
             (0..128u64)
                 .map(|i| {
@@ -915,8 +1175,15 @@ mod tests {
             let mut eq = vec![0u8; 64];
             agree(x, y, &mut eq[..len]);
             // SAFETY: the caller found `avx512f` and `avx512bw`.
-            let got = unsafe { T::agree_word(x, y) };
-            assert_eq!(got, pack64(&eq), "len={len}");
+            let (a, b) = unsafe { (T::load_chunk::<false>(x), T::load_chunk::<false>(y)) };
+            // SAFETY: as above.
+            assert_eq!(unsafe { T::agree_chunk(a, b) }, pack64(&eq), "len={len}");
+            if len == 64 {
+                // SAFETY: as above; a 64-cell row is loaded unmasked.
+                let (a, b) = unsafe { (T::load_chunk::<true>(x), T::load_chunk::<true>(y)) };
+                // SAFETY: as above.
+                assert_eq!(unsafe { T::agree_chunk(a, b) }, pack64(&eq), "unmasked");
+            }
         }
     }
 
@@ -927,9 +1194,9 @@ mod tests {
             eprintln!("avx512bw_compare_reads_only_its_rows: this CPU lacks avx512f/avx512bw");
             return;
         }
-        check_agree_word_reads_only_its_rows(|z| u8::try_from(z).unwrap());
-        check_agree_word_reads_only_its_rows(|z| u16::try_from(z).unwrap());
-        check_agree_word_reads_only_its_rows(|z| u32::try_from(z).unwrap());
+        check_chunks_read_only_their_rows(|z| u8::try_from(z).unwrap());
+        check_chunks_read_only_their_rows(|z| u16::try_from(z).unwrap());
+        check_chunks_read_only_their_rows(|z| u32::try_from(z).unwrap());
     }
 
     #[test]
@@ -970,6 +1237,31 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn register_transpose_matches_transpose64() {
+        if CompareKernel::detect() != CompareKernel::Avx512bw {
+            eprintln!("register_transpose_matches_transpose64: this CPU lacks avx512f/avx512bw");
+            return;
+        }
+        for salt in 0..64u64 {
+            let mut tile = Tile([0; 64]);
+            for (i, w) in tile.0.iter_mut().enumerate() {
+                // Sparse, dense and single-bit words.
+                *w = match salt % 3 {
+                    0 => mix(salt << 8 | i as u64),
+                    1 => mix(salt << 8 | i as u64) & mix(!(salt << 8 | i as u64)),
+                    _ => 1 << ((i as u64 * salt) % 64),
+                };
+            }
+            let mut want = tile.0;
+            transpose64(&mut want);
+            // SAFETY: `detect` found `avx512f`.
+            unsafe { transpose64_zmm(&mut tile) };
+            assert_eq!(tile.0, want, "salt={salt}");
+        }
+    }
+
+    #[test]
     fn transpose64_moves_every_bit() {
         let mut m = [0u64; 64];
         for (i, w) in m.iter_mut().enumerate() {
@@ -989,11 +1281,75 @@ mod tests {
         let cols = columns(100, 40, 9, 3);
         let views: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
         let blocks = ShiftBlocks::new(&views, 5);
-        let mut scratch = blocks.scratch();
-        let first = block(&blocks, 0, &mut scratch).clone();
+        let mut scratch = blocks.scratch(40);
+        let first = block(&blocks, 0, 0, &mut scratch);
         for attr in 1..40 {
-            block(&blocks, attr, &mut scratch);
+            block(&blocks, attr, attr % scratch.slots(), &mut scratch);
         }
-        assert_eq!(block(&blocks, 0, &mut scratch), &first);
+        assert_eq!(block(&blocks, 0, 0, &mut scratch), first);
+    }
+
+    /// Folds the blocks sorted by every attribute of `cols` through a
+    /// scratch asked for `blocks` slots, one batch of up to its slots at a
+    /// time, and checks every counter against the [`reference`] blocks
+    /// counted one by one. Returns the slots the scratch got.
+    fn check_fold(copies: &[(CompareKernel, bool)], cols: &[Vec<u32>], blocks: usize) -> usize {
+        let (k, n) = (cols.len(), cols[0].len());
+        let views: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+        let attrs: Vec<usize> = (0..k).collect();
+        let mut want_co = vec![0; k * k];
+        let mut want_block_ones = vec![0; k * k];
+        for (attr, bits) in reference(cols, 9, &attrs).iter().enumerate() {
+            for (a, (co, gram)) in want_co.iter_mut().zip(bits.gram()).enumerate() {
+                *co += gram;
+                if a / k == a % k {
+                    want_block_ones[attr * k + a / k] = gram;
+                }
+            }
+        }
+        let want_ones: Vec<u64> = (0..k).map(|a| want_co[a * k + a]).collect();
+        let mut slots = 0;
+        for &(kernel, row_major) in copies {
+            let shift = ShiftBlocks::build(&views, 9, kernel, row_major);
+            let mut scratch = shift.scratch(blocks);
+            slots = scratch.slots();
+            let (mut co, mut ones, mut block_ones) = (vec![0; k * k], vec![0; k], vec![0; k * k]);
+            let mut words = 0;
+            for batch in attrs.chunks(slots) {
+                for (slot, &attr) in batch.iter().enumerate() {
+                    shift.sort(attr, &mut scratch);
+                    shift.compare(slot, &mut scratch);
+                }
+                words += shift.fold(&scratch, batch, &mut co, &mut ones, &mut block_ones);
+            }
+            let label = format!("n={n} k={k} {kernel:?} row_major={row_major}");
+            assert_eq!(co, want_co, "{label}");
+            assert_eq!(ones, want_ones, "{label}");
+            assert_eq!(block_ones, want_block_ones, "{label}");
+            assert_eq!(words, k * n.div_ceil(64), "{label}: padding counted");
+        }
+        slots
+    }
+
+    #[test]
+    fn fold_counts_every_batch_as_its_blocks() {
+        let copies = runnable_copies("fold_counts_every_batch_as_its_blocks");
+        // Asked for every block: one batch of every block; full batches of
+        // 32 and a last of 8; batches of 8 and a last of 4; one block per
+        // batch above 32 768 rows. Asked for fewer slots than a batch holds,
+        // as a worker with a short chunk asks: batches of 5 and a last of 3;
+        // and one slot, for a request of none.
+        for (n, k, blocks, slots) in [
+            (300, 7, 7, 7),
+            (1000, 40, 40, 32),
+            (4000, 20, 20, 8),
+            (32_769, 3, 3, 1),
+            (1000, 33, 5, 5),
+            (300, 7, 0, 1),
+        ] {
+            let cols = columns(n, k, 254, n as u64);
+            let label = format!("n={n} k={k} blocks={blocks}");
+            assert_eq!(check_fold(&copies, &cols, blocks), slots, "{label}");
+        }
     }
 }

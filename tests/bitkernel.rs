@@ -14,6 +14,10 @@
 //!   blocks whose packed rows run several 8-word steps of the 512-bit
 //!   Gram tile before its tail, and the lane boundaries of the AVX-512BW
 //!   row compare (its u8/u16/u32 tile words and 16-lane u32 compares);
+//! * the same moments vs pairs counted one by one, at the boundaries of
+//!   the batches of sort blocks one Gram folds: full batches, a partial
+//!   last batch, batches cut by the worker chunks, and one-block batches
+//!   above 32 768 rows, at threads 1/2/4;
 //! * `PairStats::covariance`, which runs the block index outermost, vs a
 //!   per-entry loop over the blocks, bit for bit on every grid cell;
 //! * [`fdx::refine_with_options`]'s FD sets with the partition cache on
@@ -330,6 +334,98 @@ fn packed_moments_bit_identical_to_materialized_matrix() {
                     "{} covariance cell=({a},{b})",
                     cell.label
                 );
+            }
+        }
+    }
+}
+
+/// Batch-boundary cells `(n, k, largest code)`. A batch holds
+/// `⌊512 / ⌈n/64⌉⌋` sort blocks, at most `k`, and never spans two worker
+/// chunks of `⌈k/32⌉` attributes:
+///
+/// * 4000 × 16: two full batches of 8 at one thread (63-word block rows);
+/// * 4000 × 20: batches of 8, 8 and a partial 4;
+/// * 1000 × 65: batches of 32, 32 and 1 at one thread, and of the worker
+///   chunks' 3 (2 in the last) at two and four, on the 64-bit chunk path;
+/// * 32 769 × 3: one block per batch, a block row being 513 words.
+///
+/// The largest codes put the cells on the `u8`, `u16` and `u32` layouts.
+const BATCH_CELLS: [(usize, usize, u32); 4] = [
+    (4000, 16, 254),
+    (4000, 20, 255),
+    (1000, 65, 254),
+    (32_769, 3, 65_536),
+];
+
+/// The pair statistics counted one pair at a time, without materializing
+/// `D_t`: the shuffled rows sorted by each attribute with `sort_by_key`,
+/// and each circular pair's agreeing attributes counted directly. Returns
+/// the co-agreement counts (row-major `k × k`, both triangles) and the
+/// per-block agreement counts `block_ones[blk * k + a]`.
+fn counted_reference(ds: &Dataset, cfg: &TransformConfig) -> (Vec<u64>, Vec<u64>) {
+    let (n, k) = (ds.nrows(), ds.ncols());
+    let mut shuffled: Vec<usize> = (0..n).collect();
+    SplitMix64::new(cfg.seed).shuffle(&mut shuffled);
+    let mut counts = vec![0u64; k * k];
+    let mut block_ones = vec![0u64; k * k];
+    let mut agreeing = Vec::with_capacity(k);
+    for blk in 0..k {
+        let codes = ds.column(blk).codes();
+        let mut order = shuffled.clone();
+        order.sort_by_key(|&r| codes[r]);
+        for r in 0..n {
+            let (i, j) = (order[r], order[(r + 1) % n]);
+            agreeing.clear();
+            agreeing.extend((0..k).filter(|&a| {
+                let c = ds.code(i, a);
+                c != NULL_CODE && c == ds.code(j, a)
+            }));
+            for &a in &agreeing {
+                block_ones[blk * k + a] += 1;
+                for &b in &agreeing {
+                    counts[a * k + b] += 1;
+                }
+            }
+        }
+    }
+    (counts, block_ones)
+}
+
+#[test]
+fn batched_blocks_count_every_pair_once_at_every_thread_count() {
+    for (n, k, max_code) in BATCH_CELLS {
+        let ds = coded_dataset(n, k, max_code, (k * 1000 + n) as u64 ^ u64::from(max_code));
+        let (counts, block_ones) = counted_reference(&ds, &TransformConfig::default());
+        let diagonal: Vec<u64> = (0..k).map(|a| counts[a * k + a]).collect();
+        for threads in [1, 2, 4] {
+            let cfg = TransformConfig {
+                threads: Some(threads),
+                ..TransformConfig::default()
+            };
+            let stats = pair_transform(&ds, &cfg);
+            let label = format!("n={n} k={k} max_code={max_code} threads={threads}");
+            assert_eq!(stats.ones(), diagonal.as_slice(), "{label}");
+            assert_eq!(stats.block_ones(), block_ones.as_slice(), "{label}");
+            assert_eq!(stats.block_sizes(), vec![n; k], "{label}");
+            assert_eq!(stats.num_samples(), n * k, "{label}");
+            for a in 0..k {
+                for b in a..k {
+                    assert_eq!(
+                        stats.co_counts()[a * k + b],
+                        counts[a * k + b],
+                        "{label} cell=({a},{b})"
+                    );
+                }
+            }
+            let (cov, want) = (stats.covariance(), per_entry_covariance(&stats));
+            for a in 0..k {
+                for b in 0..k {
+                    assert_eq!(
+                        cov[(a, b)].to_bits(),
+                        want[a * k + b].to_bits(),
+                        "{label} covariance cell=({a},{b})"
+                    );
+                }
             }
         }
     }
